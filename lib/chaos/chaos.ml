@@ -12,7 +12,7 @@
                 sticky — persistently failing cells)
      kill       lease-holder death mid-syscall: alternately a single
                 thread and a WHOLE PROCESS (every thread of a victim pid
-                dies at its next suspension point, no unwinding; a
+                dies at its next Sim.advance, no unwinding; a
                 survivor then reaps the dead pid's kernel state and the
                 next op on the structure steals the lease and repairs the
                 intention record — the cross-process recovery of §5.2)

@@ -89,6 +89,20 @@ let decode_entry s off =
   in
   ({ key; value }, off + 9 + klen + vlen)
 
+(* [compare] of the [klen]-byte key stored at [off] in [s] against [key],
+   without copying it out: byte-lexicographic with a proper prefix first,
+   the order of OCaml's string [compare]. *)
+let compare_key_at s off klen key =
+  let n = String.length key in
+  let m = min klen n in
+  let rec go i =
+    if i = m then Int.compare klen n
+    else
+      let c = Char.compare s.[off + i] key.[i] in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
 let read_range fs path ~off ~len =
   let* fd = V.openf fs path [ Ft.O_RDONLY ] 0 in
   let buf = Bytes.create len in
@@ -175,13 +189,19 @@ let get t key =
       (match read_range t.fs t.path ~off:start ~len:(stop - start) with
       | Error _ -> None
       | Ok chunk ->
+          (* Keys are compared in place; only a hit's value is copied. *)
           let rec scan off =
             if off >= String.length chunk then None
             else
-              let e, next = decode_entry chunk off in
-              if e.key = key then Some e.value
-              else if e.key > key then None
-              else scan next
+              let klen = u32 chunk off in
+              let c = compare_key_at chunk (off + 4) klen key in
+              let vlen = u32 chunk (off + 5 + klen) in
+              if c = 0 then
+                Some
+                  (if Char.code chunk.[off + 4 + klen] = 0 then None
+                   else Some (String.sub chunk (off + 9 + klen) vlen))
+              else if c > 0 then None
+              else scan (off + 9 + klen + vlen)
           in
           scan 0)
 

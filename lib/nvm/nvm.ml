@@ -754,19 +754,18 @@ module Device = struct
         d.flushing <- line :: d.flushing);
     trace_nt_store d addr 8 t0
 
-  let nt_write_string d addr s =
-    let len = String.length s in
+  let nt_blit_string d s soff addr len =
     check_bounds d addr len;
     if len > 0 then begin
       check_protection d addr true;
       let t0 = t_begin d in
       d.n_writes <- d.n_writes + 1;
       if Sim.in_sim () then Sim.advance d.dev_perf.Perf.hit_cost;
-      let remaining = ref len and src = ref 0 and dst = ref addr in
+      let remaining = ref len and src = ref soff and dst = ref addr in
       while !remaining > 0 do
         let page = !dst / page_size and off = !dst mod page_size in
         let n = min !remaining (page_size - off) in
-        Bytes.blit (Bytes.unsafe_of_string s) !src (vol_page d page) off n;
+        Bytes.blit_string s !src (vol_page d page) off n;
         src := !src + n;
         dst := !dst + n;
         remaining := !remaining - n
@@ -787,6 +786,8 @@ module Device = struct
       done;
       trace_nt_store d addr len t0
     end
+
+  let nt_write_string d addr s = nt_blit_string d s 0 addr (String.length s)
 
   let persist_range d addr len =
     flush_range d addr len;
@@ -809,7 +810,7 @@ module Device = struct
         dst := !dst + n;
         remaining := !remaining - n
       done;
-      (* Same ordering discipline as [nt_write_string]. *)
+      (* Same ordering discipline as [nt_blit_string]. *)
       charge_writeback d len;
       let first = addr / line_size and last = (addr + len - 1) / line_size in
       for line = first to last do

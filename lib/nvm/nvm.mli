@@ -170,7 +170,13 @@ module Device : sig
   val nt_write_u64 : t -> int -> int -> unit
   (** Non-temporal store: bypasses the cache; durable after next fence. *)
 
+  val nt_blit_string : t -> string -> int -> int -> int -> unit
+  (** [nt_blit_string d s soff addr len]: non-temporal store of
+      [s.[soff .. soff+len-1]] at [addr], as one store (one write-back
+      charge, one trace event); durable after the next fence. *)
+
   val nt_write_string : t -> int -> string -> unit
+  (** [nt_blit_string] of the whole string. *)
 
   val nt_fill : t -> int -> int -> char -> unit
   (** Non-temporal memset (durable after next fence). *)

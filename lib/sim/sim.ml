@@ -2,9 +2,12 @@
 
    The scheduler keeps a min-heap of (time, seq, thunk).  A thunk resumes a
    suspended thread; the thread runs until it performs a [Suspend] effect
-   (advance, lock wait, ...) or returns.  Because the runnable thread with
-   the smallest timestamp always runs first, lock acquisition order and every
-   other interleaving decision is a pure function of simulated time. *)
+   (a lock wait, a [yield], or an [advance] that another thread is due
+   before) or returns.  Because the runnable thread with the smallest
+   (time, seq) always runs first, lock acquisition order and every other
+   interleaving decision is a pure function of simulated time.  An [advance]
+   that no queued thread is due before keeps running without a switch: the
+   scheduler would have popped this same thread next. *)
 
 module Proc = struct
   type t = {
@@ -72,6 +75,9 @@ module Heap = struct
   let create () = { arr = Array.make 64 dummy; len = 0 }
   let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
+  (* Some queued entry is due at or before [time]. *)
+  let due h time = h.len > 0 && h.arr.(0).time <= time
+
   let push h e =
     if h.len = Array.length h.arr then begin
       let bigger = Array.make (2 * h.len) dummy in
@@ -125,6 +131,7 @@ type thread = {
   proc : Proc.t;
   mutable time : int;
   world : world;
+  self : thread option;  (* [Some] of this thread, for [w.current] *)
 }
 
 and world = {
@@ -220,7 +227,7 @@ let suspend f = Effect.perform (Suspend f)
    a [wake] function that, given a wake-up time, reschedules the thread. *)
 let resume w t k =
   schedule w t.time (fun () ->
-      w.current <- Some t;
+      w.current <- t.self;
       Effect.Deep.continue k ())
 
 let park w t ~on:objname register =
@@ -244,10 +251,11 @@ let reschedule w t = suspend (fun k -> resume w t k)
    real process vanishes.  Whatever the thread left half-done in NVM stays
    half-done; survivors must cope (lease expiry + intention-record repair).
 
-   Kills fire only at [advance] suspension points, and never while the
-   thread is inside a [with_no_kill] section — dying while holding a
-   simulated kernel mutex would model a kernel panic, not a process death
-   (the paper's trust model keeps KernFS alive). *)
+   Kills fire only in [advance] (before its switch decision, so a call that
+   keeps running counts too), and never while the thread is inside a
+   [with_no_kill] section — dying while holding a simulated kernel mutex
+   would model a kernel panic, not a process death (the paper's trust model
+   keeps KernFS alive). *)
 
 let nokill_depth w tid =
   match Hashtbl.find_opt w.nokill tid with Some d -> d | None -> 0
@@ -302,7 +310,7 @@ let proc_tids pid =
 let proc_alive pid = List.exists thread_alive (proc_tids pid)
 
 (* SIGKILL for a whole simulated process: every live thread of [pid] is armed
-   to die at its very next suspension point outside a [with_no_kill] section.
+   to die at its very next [advance] outside a [with_no_kill] section.
    As with [arm_kill], death drops the continuation without unwinding — no
    finalizer, no lease release — and a thread inside a system call (no-kill)
    completes it first, so the kernel lock is never orphaned.  Threads parked
@@ -342,7 +350,12 @@ let advance ns =
   | Some t ->
       t.time <- t.time + ns;
       maybe_kill t;
-      reschedule t.world t
+      (* Rescheduling pushes (t.time, seq) with a seq larger than every
+         queued one, so the pop returns this same thread unless some entry
+         is due at or before t.time (an equal time wins on its smaller seq).
+         Only then is a switch needed. *)
+      let w = t.world in
+      if Heap.due w.heap t.time then reschedule w t
 
 let yield () =
   match current_thread () with None -> () | Some t -> reschedule t.world t
@@ -369,7 +382,9 @@ let spawn_tid w ?proc ?at ~name body =
   (match Hashtbl.find_opt w.proc_threads proc.Proc.pid with
   | Some l -> l := tid :: !l
   | None -> Hashtbl.replace w.proc_threads proc.Proc.pid (ref [ tid ]));
-  let t = { tid; tname = name; proc; time = start; world = w } in
+  let rec t =
+    { tid; tname = name; proc; time = start; world = w; self = Some t }
+  in
   sync_emit
     (S_spawn
        {
@@ -377,7 +392,7 @@ let spawn_tid w ?proc ?at ~name body =
          child = tid;
        });
   let thunk () =
-    w.current <- Some t;
+    w.current <- t.self;
     Effect.Deep.match_with body ()
       {
         retc =
@@ -387,10 +402,10 @@ let spawn_tid w ?proc ?at ~name body =
             sync_emit (S_exit { tid = t.tid }));
         exnc = (fun e -> raise e);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
             match eff with
-            | Suspend f ->
-                Some (fun (k : (a, unit) Effect.Deep.continuation) -> f k)
+            | Suspend f -> Some f
             | _ -> None);
       }
   in

@@ -72,12 +72,17 @@ val world_uid : unit -> int
     an unrelated thread of the next simulation. *)
 
 val advance : int -> unit
-(** Charge [ns] nanoseconds of virtual time to the current thread and yield
-    to the scheduler.  No-op outside a simulation. *)
+(** Charge [ns] nanoseconds of virtual time to the current thread.  It is a
+    scheduling point only when another thread is due at or before the new
+    time — an equal time counts, since that thread was queued first; then
+    the scheduler runs it before resuming the caller.  Otherwise the caller
+    keeps running without a switch, exactly as if it had suspended and been
+    picked again.  An armed kill fires here either way (see {!arm_kill}).
+    No-op outside a simulation. *)
 
 val yield : unit -> unit
-(** Yield without advancing time (other threads at the same timestamp may
-    run). *)
+(** Always suspend without advancing time, so other threads at the same
+    timestamp run first. *)
 
 val sleep_until : int -> unit
 (** Advance the current thread to the given absolute virtual time (no-op if
@@ -86,7 +91,8 @@ val sleep_until : int -> unit
 (** {1 Thread-kill injection}
 
     Fault injection for chaos testing: an armed kill makes its target thread
-    die at a later {!advance} suspension point — the simulated equivalent of
+    die at a later {!advance} call, whether or not that call switches
+    threads — the simulated equivalent of
     a process being SIGKILLed mid-syscall.  Death drops the thread's
     continuation {e without unwinding}: no finalizer, no exception handler,
     no lock release runs, exactly as when a real process vanishes.  Survivors
@@ -118,8 +124,8 @@ val with_no_kill : (unit -> 'a) -> 'a
 (** {1 Whole-process kill}
 
     The multi-process analogue of {!arm_kill}: SIGKILL delivered to a whole
-    simulated process.  Every thread of the pid dies at its next suspension
-    point, with the same no-unwinding semantics — survivors in other
+    simulated process.  Every thread of the pid dies at its next {!advance}
+    outside a {!with_no_kill} section, with the same no-unwinding semantics — survivors in other
     processes must recover through the on-media protocols, and a surviving
     thread must reap the kernel-side state (see [Kernfs.reap_process]). *)
 

@@ -139,8 +139,7 @@ let write dev balloc ~ino ~off data =
         match ensure_block dev balloc ~ino ~zero b with
         | Error e -> Error e
         | Ok addr ->
-            Nvm.Device.nt_write_string dev (addr + in_block)
-              (String.sub data src_off n);
+            Nvm.Device.nt_blit_string dev data src_off (addr + in_block) n;
             loop (src_off + n) (dst_off + n)
     in
     match loop 0 off with

@@ -152,6 +152,32 @@ let test_sstable_roundtrip () =
       Alcotest.(check int) "iter count" 100
         (List.length (Kvdb.Sstable.entries tbl)))
 
+let test_sstable_get_key_order () =
+  (* [get] compares keys in place; it must agree with string [compare] on
+     prefixes, differing lengths and bytes above 0x7f.  Every other key of
+     all strings up to length 3 over {\000, a, b, \255} is stored (spanning
+     several index blocks); every stored and absent key is probed. *)
+  let alphabet = [ "\000"; "a"; "b"; "\255" ] in
+  let rec upto n =
+    if n = 0 then [ "" ]
+    else "" :: List.concat_map (fun c -> List.map (( ^ ) c) (upto (n - 1))) alphabet
+  in
+  let all = List.sort_uniq compare (upto 3) in
+  let stored = List.filteri (fun i _ -> i mod 2 = 1) all in
+  let value k = if String.length k = 2 then None else Some ("v" ^ k) in
+  let w = make_world ~pages:16384 () in
+  in_proc ~uid:0 w (fun fs ->
+      okd
+        (Kvdb.Sstable.write fs "/k.sst"
+           (List.map (fun key -> { Kvdb.Sstable.key; value = value key }) stored));
+      let tbl = okd (Kvdb.Sstable.open_ fs "/k.sst") in
+      List.iter
+        (fun k ->
+          let expect = if List.mem k stored then Some (value k) else None in
+          Alcotest.(check (option (option string)))
+            (Printf.sprintf "get %S" k) expect (Kvdb.Sstable.get tbl k))
+        (all @ [ "\255\255\255\255"; "c" ]))
+
 let qcheck_db_matches_model =
   QCheck.Test.make ~name:"kvdb behaves like a Hashtbl" ~count:15
     QCheck.(
@@ -209,6 +235,8 @@ let () =
           Alcotest.test_case "compaction" `Slow test_compaction_preserves_data;
           Alcotest.test_case "tombstones" `Quick test_tombstones_survive_flush;
           Alcotest.test_case "sstable roundtrip" `Quick test_sstable_roundtrip;
+          Alcotest.test_case "sstable get key order" `Quick
+            test_sstable_get_key_order;
           QCheck_alcotest.to_alcotest qcheck_db_matches_model;
         ] );
       ("bench", [ Alcotest.test_case "db_bench smoke" `Quick test_bench_smoke ]);

@@ -92,6 +92,34 @@ let test_nt_write_durable_after_fence () =
   D.crash ~policy:`Drop_all d;
   Alcotest.(check int) "ntstore durable" 99 (D.read_u64 d 0)
 
+let test_nt_blit_matches_nt_write () =
+  (* A non-temporal blit of a slice costs, traces and persists exactly like
+     [nt_write_string] of that slice copied out, across a page boundary. *)
+  let src = String.init 500 (fun i -> Char.chr (i land 0xff)) in
+  let soff = 7 and len = 300 and addr = Nvm.page_size - 100 in
+  let run write =
+    let d = D.create ~perf:Nvm.Perf.optane ~size:(64 * Nvm.page_size) () in
+    let events = ref [] in
+    ignore (D.add_trace_subscriber d (fun e -> events := e :: !events));
+    let t =
+      Sim.run_thread (fun () ->
+          write d;
+          D.sfence d;
+          Sim.now ())
+    in
+    D.crash ~policy:`Drop_all d;
+    (t, List.rev !events, D.stat_writes d, D.read_string d addr len)
+  in
+  let t1, ev1, w1, data1 =
+    run (fun d -> D.nt_write_string d addr (String.sub src soff len))
+  in
+  let t2, ev2, w2, data2 = run (fun d -> D.nt_blit_string d src soff addr len) in
+  Alcotest.(check int) "same sim time" t1 t2;
+  Alcotest.(check bool) "same trace events" true (ev1 = ev2);
+  Alcotest.(check int) "same write count" w1 w2;
+  Alcotest.(check string) "durable slice" (String.sub src soff len) data2;
+  Alcotest.(check string) "same data" data1 data2
+
 let test_persist_range () =
   let d = mk () in
   D.write_string d 1000 (String.make 300 'z');
@@ -414,6 +442,8 @@ let () =
             test_clwb_without_fence_not_durable;
           Alcotest.test_case "ntstore durable after fence" `Quick
             test_nt_write_durable_after_fence;
+          Alcotest.test_case "nt blit = nt write of the slice" `Quick
+            test_nt_blit_matches_nt_write;
           Alcotest.test_case "persist_range" `Quick test_persist_range;
           Alcotest.test_case "line granularity" `Quick test_partial_line_granularity;
           Alcotest.test_case "keep_all crash" `Quick test_keep_all_crash;

@@ -293,6 +293,91 @@ let test_nested_spawn () =
   Sim.run w;
   Alcotest.(check int) "children ran" 6 !total
 
+(* ---- the switch-free advance -------------------------------------------- *)
+
+let words_allocated f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_advance_before_due_keeps_running () =
+  (* "b" is due at 100: "a" advancing to 99 must keep the host CPU — no
+     interleave and, since no switch happens, next to no allocation. *)
+  let log = ref [] and words = ref infinity in
+  let w = Sim.create () in
+  Sim.spawn w ~name:"a" (fun () ->
+      words :=
+        words_allocated (fun () ->
+            for _ = 1 to 99 do
+              Sim.advance 1
+            done);
+      log := ("a", Sim.now ()) :: !log);
+  Sim.spawn w ~at:100 ~name:"b" (fun () -> log := ("b", Sim.now ()) :: !log);
+  Sim.run w;
+  Alcotest.(check (list (pair string int)))
+    "a finishes before b" [ ("a", 99); ("b", 100) ] (List.rev !log);
+  if !words >= 1000. then
+    Alcotest.failf "99 advances before b's due time allocated %.0f words"
+      !words
+
+let test_advance_to_due_time_yields () =
+  (* Advancing to exactly another thread's due time is a switch: the queued
+     thread was scheduled first, so it wins the tie (FIFO on seq). *)
+  let log = ref [] in
+  let w = Sim.create () in
+  Sim.spawn w ~name:"a" (fun () ->
+      Sim.advance 60;
+      log := "a@60" :: !log;
+      Sim.advance 40;
+      log := "a@100" :: !log);
+  Sim.spawn w ~at:100 ~name:"b" (fun () -> log := "b@100" :: !log);
+  Sim.run w;
+  Alcotest.(check (list string))
+    "b runs at the tie" [ "a@60"; "b@100"; "a@100" ] (List.rev !log)
+
+let test_kill_on_fast_path () =
+  (* A single-thread world never switches on advance, yet an armed kill
+     still fires at the n-th advance, and with_no_kill still defers it. *)
+  let survived = ref 0 and finished = ref false in
+  let w = Sim.create () in
+  Sim.spawn w ~name:"victim" (fun () ->
+      Sim.arm_kill ~tid:(Sim.self_tid ()) ~after:3;
+      for _ = 1 to 10 do
+        Sim.advance 1;
+        incr survived
+      done;
+      finished := true);
+  Sim.run w;
+  Alcotest.(check int) "died at the 3rd advance" 2 !survived;
+  Alcotest.(check bool) "never finished" false !finished;
+  let inside = ref 0 and outside = ref 0 in
+  let w = Sim.create () in
+  Sim.spawn w ~name:"victim" (fun () ->
+      Sim.arm_kill ~tid:(Sim.self_tid ()) ~after:3;
+      Sim.with_no_kill (fun () ->
+          for _ = 1 to 5 do
+            Sim.advance 1;
+            incr inside
+          done);
+      for _ = 1 to 10 do
+        Sim.advance 1;
+        incr outside
+      done);
+  Sim.run w;
+  Alcotest.(check int) "no-kill section ran through" 5 !inside;
+  Alcotest.(check int) "countdown resumed outside" 2 !outside
+
+let test_advance_allocation_guard () =
+  let words = ref infinity in
+  Sim.run_thread (fun () ->
+      words :=
+        words_allocated (fun () ->
+            for _ = 1 to 10_000 do
+              Sim.advance 1
+            done));
+  if !words >= 1000. then
+    Alcotest.failf "10,000 advances allocated %.0f minor words" !words
+
 let qcheck_mutex_never_negative =
   QCheck.Test.make ~name:"mutex critical sections never overlap" ~count:30
     QCheck.(list_of_size (Gen.int_range 1 8) (int_range 1 50))
@@ -348,6 +433,14 @@ let () =
             test_kill_process_semantics;
           Alcotest.test_case "kill-process defers past no-kill" `Quick
             test_kill_process_defers_past_no_kill;
+          Alcotest.test_case "advance before another's due time" `Quick
+            test_advance_before_due_keeps_running;
+          Alcotest.test_case "advance to another's due time" `Quick
+            test_advance_to_due_time_yields;
+          Alcotest.test_case "kill on the switch-free path" `Quick
+            test_kill_on_fast_path;
+          Alcotest.test_case "advance allocation guard" `Quick
+            test_advance_allocation_guard;
         ] );
       ( "sync",
         [
