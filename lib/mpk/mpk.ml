@@ -16,12 +16,17 @@ type trace_event =
   | M_scope_enter of { perms : (pkey * perm) list }
   | M_scope_exit
 
+(* Per-thread registers live in dense arrays indexed by [tid + 1], since
+   code outside any simulation runs as tid -1.  A PKRU slot holds
+   [no_pkru] until the thread first writes its register. *)
 type t = {
   dev : Nvm.Device.t;
   tables : (int, Bytes.t) Hashtbl.t;  (* pid -> per-page PTE bytes *)
-  pkru : (int, int) Hashtbl.t;  (* tid -> PKRU value *)
-  kernel_depth : (int, int) Hashtbl.t;  (* tid -> nesting *)
-  write_window : (int, int) Hashtbl.t;  (* tid -> nesting *)
+  mutable last_pid : int;  (* memo of the last [tables] hit; -1 = none *)
+  mutable last_table : Bytes.t;
+  mutable pkru : int array;  (* tid + 1 -> PKRU value *)
+  mutable kernel_depth : int array;  (* tid + 1 -> nesting *)
+  mutable write_window : int array;  (* tid + 1 -> nesting *)
   mutable faults : int;
   mutable subs : (int * (trace_event -> unit)) list;  (* delivery order *)
   mutable next_sub_id : int;
@@ -62,9 +67,6 @@ let perms_of_pkru v =
 
 let fault t addr write reason =
   t.faults <- t.faults + 1;
-  (if Sys.getenv_opt "MPK_DEBUG_FAULT" <> None then
-     Printf.eprintf "FAULT addr=%d write=%b %s\n%s\n%!" addr write reason
-       (Printexc.raw_backtrace_to_string (Printexc.get_callstack 25)));
   raise (Nvm.Fault { addr; write; kind = Nvm.Protection; reason })
 
 let table t pid =
@@ -75,12 +77,50 @@ let table t pid =
       Hashtbl.replace t.tables pid b;
       b
 
-let current_pkru t =
-  match Hashtbl.find_opt t.pkru (Sim.self_tid ()) with
-  | Some v -> v
-  | None -> pkru_all_disabled
+(* The page table of [pid], or an empty one if it has none.  Most
+   accesses come from the same process as the one before, so the last hit
+   is memoised; [drop_process], the only place a table goes away, clears
+   the memo. *)
+let table_or_empty t pid =
+  if pid = t.last_pid then t.last_table
+  else if Hashtbl.mem t.tables pid then begin
+    let b = Hashtbl.find t.tables pid in
+    t.last_pid <- pid;
+    t.last_table <- b;
+    b
+  end
+  else Bytes.empty
 
-let depth tbl tid = match Hashtbl.find_opt tbl tid with Some d -> d | None -> 0
+let no_pkru = -1
+
+(* [a] with a cell for [tid], new cells holding [fill]. *)
+let ensure a tid fill =
+  let n = Array.length a in
+  if tid + 1 < n then a
+  else begin
+    let b = Array.make (max (2 * n) (tid + 2)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let slot a tid fill = if tid + 1 < Array.length a then a.(tid + 1) else fill
+
+let set_pkru t tid v =
+  t.pkru <- ensure t.pkru tid no_pkru;
+  t.pkru.(tid + 1) <- v
+
+let bump a tid delta =
+  let a = ensure a tid 0 in
+  a.(tid + 1) <- a.(tid + 1) + delta;
+  a
+
+let depth a tid = slot a tid 0
+
+let pkru_of_tid t tid =
+  let v = slot t.pkru tid no_pkru in
+  if v = no_pkru then pkru_all_disabled else v
+
+let current_pkru t = pkru_of_tid t (Sim.self_tid ())
 
 let in_kernel t = depth t.kernel_depth (Sim.self_tid ()) > 0
 
@@ -92,24 +132,21 @@ let check t ~addr ~write =
       fault t addr write "kernel write outside CR0.WP write window"
   end
   else begin
-    let pid = (Sim.self_proc ()).Sim.Proc.pid in
+    let b = table_or_empty t (Sim.self_proc ()).Sim.Proc.pid in
     let page = addr / Nvm.page_size in
     let pte =
       (* An address past the device end has no PTE at all: same SIGSEGV as
          an unmapped page (recovery relies on this when chasing torn
          pointers). *)
-      match Hashtbl.find_opt t.tables pid with
-      | None -> 0
-      | Some b ->
-          if page < 0 || page >= Bytes.length b then 0
-          else Char.code (Bytes.get b page)
+      if page < 0 || page >= Bytes.length b then 0
+      else Char.code (Bytes.get b page)
     in
     if pte land pte_mapped = 0 then fault t addr write "page not mapped";
     if write && pte land pte_writable = 0 then
       fault t addr write "page mapped read-only";
     let key = pte lsr 4 in
     if key <> 0 then begin
-      let bits = (current_pkru t lsr (2 * key)) land 0b11 in
+      let bits = (pkru_of_tid t tid lsr (2 * key)) land 0b11 in
       if bits land 0b01 <> 0 then
         fault t addr write (Printf.sprintf "MPK: region %d access-disabled" key);
       if write && bits land 0b10 <> 0 then
@@ -122,9 +159,11 @@ let create dev =
     {
       dev;
       tables = Hashtbl.create 16;
-      pkru = Hashtbl.create 64;
-      kernel_depth = Hashtbl.create 64;
-      write_window = Hashtbl.create 64;
+      last_pid = -1;
+      last_table = Bytes.empty;
+      pkru = [||];
+      kernel_depth = [||];
+      write_window = [||];
       faults = 0;
       subs = [];
       next_sub_id = 0;
@@ -220,16 +259,21 @@ let unmap_all t ~pid =
    start from [pkru_all_disabled], never from the victim's register image —
    dropping the entries restores exactly that default. *)
 let drop_thread_state t ~tid =
-  Hashtbl.remove t.pkru tid;
-  Hashtbl.remove t.kernel_depth tid;
-  Hashtbl.remove t.write_window tid
+  if tid + 1 < Array.length t.pkru then t.pkru.(tid + 1) <- no_pkru;
+  if tid + 1 < Array.length t.kernel_depth then t.kernel_depth.(tid + 1) <- 0;
+  if tid + 1 < Array.length t.write_window then t.write_window.(tid + 1) <- 0
 
 let has_thread_state t ~tid =
-  Hashtbl.mem t.pkru tid || Hashtbl.mem t.kernel_depth tid
-  || Hashtbl.mem t.write_window tid
+  slot t.pkru tid no_pkru <> no_pkru
+  || depth t.kernel_depth tid <> 0
+  || depth t.write_window tid <> 0
 
 let drop_process t ~pid ~tids =
   Hashtbl.remove t.tables pid;
+  if pid = t.last_pid then begin
+    t.last_pid <- -1;
+    t.last_table <- Bytes.empty
+  end;
   List.iter (fun tid -> drop_thread_state t ~tid) tids
 
 let has_table t ~pid = Hashtbl.mem t.tables pid
@@ -247,59 +291,74 @@ let page_pkey t ~pid ~page =
       if pte land pte_mapped = 0 then None else Some (pte lsr 4)
 
 let wrpkru t perms =
-  Hashtbl.replace t.pkru (Sim.self_tid ()) (pkru_of_perms perms);
+  set_pkru t (Sim.self_tid ()) (pkru_of_perms perms);
   Sim.advance wrpkru_cost;
   if t.subs != [] then emit t (M_wrpkru { perms })
 
 let rdpkru t = perms_of_pkru (current_pkru t)
 
-let with_keys t perms f =
+(* Every single-key grant, with its PKRU value, built once: [with_key]
+   installs one without building a list or folding over it. *)
+let perm_index = function Pk_none -> 0 | Pk_read -> 1 | Pk_read_write -> 2
+
+let single_grants =
+  Array.init ((nkeys - 1) * 3) (fun i ->
+      let p = [| Pk_none; Pk_read; Pk_read_write |].(i mod 3) in
+      let perms = [ (1 + (i / 3), p) ] in
+      (perms, pkru_of_perms perms))
+
+let leave_scope t tid saved =
+  set_pkru t tid saved;
+  Sim.advance wrpkru_cost;
+  if t.subs != [] then emit t M_scope_exit
+
+(* The one body of [with_keys] and [with_key]: install [pkru] for [f], then
+   restore the caller's register. *)
+let scoped t pkru perms f =
   let tid = Sim.self_tid () in
-  let saved = current_pkru t in
-  Hashtbl.replace t.pkru tid (pkru_of_perms perms);
+  let saved = pkru_of_tid t tid in
+  set_pkru t tid pkru;
   Sim.advance wrpkru_cost;
   if t.subs != [] then emit t (M_scope_enter { perms });
-  let restore () =
-    Hashtbl.replace t.pkru tid saved;
-    Sim.advance wrpkru_cost;
-    emit t M_scope_exit
-  in
   match f () with
   | v ->
-      restore ();
+      leave_scope t tid saved;
       v
   | exception e ->
-      restore ();
+      leave_scope t tid saved;
       raise e
 
-let bump tbl tid delta =
-  let d = depth tbl tid + delta in
-  if d = 0 then Hashtbl.remove tbl tid else Hashtbl.replace tbl tid d
+let with_keys t perms f = scoped t (pkru_of_perms perms) perms f
+
+let with_key t k p f =
+  if k <= 0 || k >= nkeys then invalid_arg "Mpk: pkey out of range";
+  let perms, pkru = single_grants.((3 * (k - 1)) + perm_index p) in
+  scoped t pkru perms f
 
 let with_kernel t f =
   let tid = Sim.self_tid () in
-  bump t.kernel_depth tid 1;
+  t.kernel_depth <- bump t.kernel_depth tid 1;
   match f () with
   | v ->
-      bump t.kernel_depth tid (-1);
+      t.kernel_depth <- bump t.kernel_depth tid (-1);
       v
   | exception e ->
-      bump t.kernel_depth tid (-1);
+      t.kernel_depth <- bump t.kernel_depth tid (-1);
       raise e
 
 let with_write_window t f =
   let tid = Sim.self_tid () in
   if depth t.kernel_depth tid = 0 then
     invalid_arg "Mpk.with_write_window: not in kernel mode";
-  bump t.write_window tid 1;
+  t.write_window <- bump t.write_window tid 1;
   Sim.advance 15 (* CR0 write is a serializing move *);
   match f () with
   | v ->
-      bump t.write_window tid (-1);
+      t.write_window <- bump t.write_window tid (-1);
       Sim.advance 15;
       v
   | exception e ->
-      bump t.write_window tid (-1);
+      t.write_window <- bump t.write_window tid (-1);
       raise e
 
 let fault_count t = t.faults

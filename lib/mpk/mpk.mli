@@ -73,6 +73,13 @@ val with_keys : t -> (pkey * perm) list -> (unit -> 'a) -> 'a
     restores the previous PKRU afterwards (guideline G1/G2 helper: pass a
     single key to make exactly one coffer accessible). *)
 
+val with_key : t -> pkey -> perm -> (unit -> 'a) -> 'a
+(** [with_key t k p f] is [with_keys t [ (k, p) ] f] — same PKRU value,
+    same cost, same [M_scope_enter] / [M_scope_exit] trace events — for
+    the common one-coffer window, without building a list or folding it
+    into a PKRU value: every single-key grant is precomputed.  Raises
+    [Invalid_argument] if [k] is not in 1..15. *)
+
 (** {1 Kernel mode} *)
 
 val in_kernel : t -> bool
@@ -96,8 +103,9 @@ val fault_count : t -> int
     G2 (two coffers writable at once) are both properties of this stream. *)
 type trace_event =
   | M_wrpkru of { perms : (pkey * perm) list }  (** raw {!wrpkru} *)
-  | M_scope_enter of { perms : (pkey * perm) list }  (** {!with_keys} entry *)
-  | M_scope_exit  (** {!with_keys} exit (PKRU restored) *)
+  | M_scope_enter of { perms : (pkey * perm) list }
+      (** {!with_keys} or {!with_key} entry *)
+  | M_scope_exit  (** {!with_keys} or {!with_key} exit (PKRU restored) *)
 
 val add_trace_subscriber : t -> (trace_event -> unit) -> int
 (** Register a trace subscriber; events are delivered to every subscriber in

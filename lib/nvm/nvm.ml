@@ -66,7 +66,9 @@ exception
   Fault of { addr : int; write : bool; kind : fault_kind; reason : string }
 
 module Device = struct
-  type line_state = Dirty | Flushing
+  (* A line's persistence state.  The pending table stores only [Dirty] and
+     [Flushing]; [lstate] answers [Clean] for a line it does not hold. *)
+  type line_state = Clean | Dirty | Flushing
 
   (* Trace events for analysis tooling (lib/check, lib/obs).  Unlike the
      protection hook, a trace subscriber observes every access *after* it
@@ -94,7 +96,10 @@ module Device = struct
     vol : bytes option array;
     shadow : bytes option array;
     pending : (int, line_state) Hashtbl.t;  (* line index -> state *)
-    mutable flushing : int list;  (* lines initiated but not fenced *)
+    mutable flushing : int array;
+        (* lines initiated but not fenced, in [0, n_flushing): a stack, so a
+           clwb pushes without allocating *)
+    mutable n_flushing : int;
     mutable hook : (addr:int -> write:bool -> unit) option;
     mutable subs : (int * (trace_event -> unit)) list;  (* delivery order *)
     mutable next_sub_id : int;
@@ -104,6 +109,8 @@ module Device = struct
     read_chan : Sim.Resource.t;
     write_chan : Sim.Resource.t;
     line_caches : (int, int array) Hashtbl.t;  (* tid -> direct-mapped tags *)
+    mutable lc_tid : int;  (* memo of the last [line_caches] lookup *)
+    mutable lc : int array;
     mutable pollute_cursor : int;  (* rotating eviction window (per device!) *)
     mutable n_reads : int;
     mutable n_writes : int;
@@ -129,7 +136,8 @@ module Device = struct
       vol = Array.make (size / page_size) None;
       shadow = Array.make (size / page_size) None;
       pending = Hashtbl.create 4096;
-      flushing = [];
+      flushing = [||];
+      n_flushing = 0;
       hook = None;
       subs = [];
       next_sub_id = 0;
@@ -139,6 +147,8 @@ module Device = struct
       read_chan = Sim.Resource.create ~name:"nvm-read-bw" ();
       write_chan = Sim.Resource.create ~name:"nvm-write-bw" ();
       line_caches = Hashtbl.create 16;
+      lc_tid = min_int;
+      lc = [||];
       pollute_cursor = 0;
       n_reads = 0;
       n_writes = 0;
@@ -316,14 +326,24 @@ module Device = struct
      would on real hardware. *)
   let cache_slots = 4096
 
+  (* Consecutive accesses almost always come from the same thread, so the
+     last lookup is memoised; [restore] drops the memo with the table. *)
   let line_cache d =
     let tid = Sim.self_tid () in
-    match Hashtbl.find_opt d.line_caches tid with
-    | Some a -> a
-    | None ->
-        let a = Array.make cache_slots (-1) in
-        Hashtbl.replace d.line_caches tid a;
-        a
+    if tid = d.lc_tid then d.lc
+    else begin
+      let a =
+        if Hashtbl.mem d.line_caches tid then Hashtbl.find d.line_caches tid
+        else begin
+          let a = Array.make cache_slots (-1) in
+          Hashtbl.replace d.line_caches tid a;
+          a
+        end
+      in
+      d.lc_tid <- tid;
+      d.lc <- a;
+      a
+    end
 
   (* A kernel crossing displaces part of the working set, not all of it:
      evict a rotating 1/8 window of the simulated cache.  The cursor lives
@@ -333,18 +353,15 @@ module Device = struct
   let pollute_window = cache_slots / 8
 
   let pollute_cache d =
-    match Hashtbl.find_opt d.line_caches (Sim.self_tid ()) with
-    | Some a ->
-        let start = d.pollute_cursor in
-        for i = 0 to pollute_window - 1 do
-          a.((start + i) land (cache_slots - 1)) <- -1
-        done;
-        d.pollute_cursor <- (start + pollute_window) land (cache_slots - 1)
-    | None -> ()
-
-  let effective_write_bw d =
-    d.dev_perf.Perf.write_bandwidth
-    *. d.dev_perf.Perf.write_bw_scale (Sim.live_threads ())
+    let tid = Sim.self_tid () in
+    if tid = d.lc_tid || Hashtbl.mem d.line_caches tid then begin
+      let a = line_cache d in
+      let start = d.pollute_cursor in
+      for i = 0 to pollute_window - 1 do
+        a.((start + i) land (cache_slots - 1)) <- -1
+      done;
+      d.pollute_cursor <- (start + pollute_window) land (cache_slots - 1)
+    end
 
   let charge_read d addr len =
     d.n_reads <- d.n_reads + 1;
@@ -383,10 +400,31 @@ module Device = struct
   (* Reserve write-back bandwidth for one line (when it starts flushing). *)
   let charge_writeback d nbytes =
     if Sim.in_sim () then begin
-      let bw = effective_write_bw d in
+      let p = d.dev_perf in
+      let bw =
+        p.Perf.write_bandwidth *. p.Perf.write_bw_scale (Sim.live_threads ())
+      in
       if bw <> infinity then
         Sim.Resource.use d.write_chan (int_of_float (float_of_int nbytes /. bw))
     end
+
+  (* --- line state ---------------------------------------------------------- *)
+
+  (* The one query of the pending table.  [mem] + [find] allocates nothing,
+     where [find_opt] boxes its answer and a [find] miss raises. *)
+  let lstate d line =
+    if Hashtbl.mem d.pending line then Hashtbl.find d.pending line else Clean
+
+  let has_flushing d = d.n_flushing > 0
+
+  let push_flushing d line =
+    if d.n_flushing = Array.length d.flushing then begin
+      let b = Array.make (max 64 (2 * d.n_flushing)) 0 in
+      Array.blit d.flushing 0 b 0 d.n_flushing;
+      d.flushing <- b
+    end;
+    d.flushing.(d.n_flushing) <- line;
+    d.n_flushing <- d.n_flushing + 1
 
   (* --- kernel atomic sections ------------------------------------------- *)
 
@@ -421,17 +459,18 @@ module Device = struct
     for line = first to last do
       atomic_note d line;
       heal_poison d line;
-      match Hashtbl.find_opt d.pending line with
-      | Some _ -> ()
-      | None -> Hashtbl.replace d.pending line Dirty
+      match lstate d line with
+      | Clean -> Hashtbl.replace d.pending line Dirty
+      | Dirty | Flushing -> ()
     done
 
-  let scalar_loc d addr len =
+  (* The volatile page of a scalar access, which must stay within one page;
+     the offset is [addr mod page_size].  No (page, offset) pair is built. *)
+  let scalar_page d addr len =
     check_bounds d addr len;
-    let page = addr / page_size and off = addr mod page_size in
-    if off + len > page_size then
+    if (addr mod page_size) + len > page_size then
       invalid_arg "Nvm: scalar access crosses a page boundary";
-    (page, off)
+    vol_page d (addr / page_size)
 
   let read_u8 d addr =
     check_protection d addr false;
@@ -439,8 +478,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 1;
     trace_load d addr 1 t0;
-    let page, off = scalar_loc d addr 1 in
-    Char.code (Bytes.get (vol_page d page) off)
+    let b = scalar_page d addr 1 in
+    Char.code (Bytes.get b (addr mod page_size))
 
   let read_u16 d addr =
     check_protection d addr false;
@@ -448,8 +487,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 2;
     trace_load d addr 2 t0;
-    let page, off = scalar_loc d addr 2 in
-    Bytes.get_uint16_le (vol_page d page) off
+    let b = scalar_page d addr 2 in
+    Bytes.get_uint16_le b (addr mod page_size)
 
   let read_u32 d addr =
     check_protection d addr false;
@@ -457,8 +496,8 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 4;
     trace_load d addr 4 t0;
-    let page, off = scalar_loc d addr 4 in
-    Int32.to_int (Bytes.get_int32_le (vol_page d page) off) land 0xFFFFFFFF
+    let b = scalar_page d addr 4 in
+    Int32.to_int (Bytes.get_int32_le b (addr mod page_size)) land 0xFFFFFFFF
 
   let read_u64 d addr =
     check_protection d addr false;
@@ -466,15 +505,15 @@ module Device = struct
     let t0 = t_begin d in
     charge_read d addr 8;
     trace_load d addr 8 t0;
-    let page, off = scalar_loc d addr 8 in
-    Int64.to_int (Bytes.get_int64_le (vol_page d page) off)
+    let b = scalar_page d addr 8 in
+    Int64.to_int (Bytes.get_int64_le b (addr mod page_size))
 
   let write_u8 d addr v =
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 1;
-    let page, off = scalar_loc d addr 1 in
-    Bytes.set (vol_page d page) off (Char.chr (v land 0xFF));
+    let b = scalar_page d addr 1 in
+    Bytes.set b (addr mod page_size) (Char.chr (v land 0xFF));
     mark_dirty d addr 1;
     trace_store d addr 1 t0
 
@@ -482,8 +521,8 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 2;
-    let page, off = scalar_loc d addr 2 in
-    Bytes.set_uint16_le (vol_page d page) off (v land 0xFFFF);
+    let b = scalar_page d addr 2 in
+    Bytes.set_uint16_le b (addr mod page_size) (v land 0xFFFF);
     mark_dirty d addr 2;
     trace_store d addr 2 t0
 
@@ -491,8 +530,8 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 4;
-    let page, off = scalar_loc d addr 4 in
-    Bytes.set_int32_le (vol_page d page) off (Int32.of_int v);
+    let b = scalar_page d addr 4 in
+    Bytes.set_int32_le b (addr mod page_size) (Int32.of_int v);
     mark_dirty d addr 4;
     trace_store d addr 4 t0
 
@@ -500,8 +539,8 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 8;
-    let page, off = scalar_loc d addr 8 in
-    Bytes.set_int64_le (vol_page d page) off (Int64.of_int v);
+    let b = scalar_page d addr 8 in
+    Bytes.set_int64_le b (addr mod page_size) (Int64.of_int v);
     mark_dirty d addr 8;
     trace_store d addr 8 t0
 
@@ -514,8 +553,7 @@ module Device = struct
     let t0 = t_begin d in
     charge_store d addr 8;
     if Sim.in_sim () then Sim.advance 20 (* lock prefix overhead *);
-    let page, off = scalar_loc d addr 8 in
-    let b = vol_page d page in
+    let b = scalar_page d addr 8 and off = addr mod page_size in
     let current = Int64.to_int (Bytes.get_int64_le b off) in
     if current = expected then begin
       Bytes.set_int64_le b off (Int64.of_int desired);
@@ -616,13 +654,12 @@ module Device = struct
        state change and its trace event stay adjacent, with no scheduling
        point between them; the state is re-read after the wait because the
        interleaved thread may have changed it. *)
-    if Hashtbl.find_opt d.pending line = Some Dirty then
-      charge_writeback d line_size;
-    (match Hashtbl.find_opt d.pending line with
-    | Some Dirty ->
+    if lstate d line = Dirty then charge_writeback d line_size;
+    (match lstate d line with
+    | Dirty ->
         Hashtbl.replace d.pending line Flushing;
-        d.flushing <- line :: d.flushing
-    | Some Flushing | None -> d.n_redundant_flushes <- d.n_redundant_flushes + 1);
+        push_flushing d line
+    | Flushing | Clean -> d.n_redundant_flushes <- d.n_redundant_flushes + 1);
     (* The event fires before the trailing advance (keeping its ordering
        relative to the line-state change), so that known constant is folded
        into the reported cost instead of measured. *)
@@ -649,7 +686,7 @@ module Device = struct
     if d.fences_to_drop > 0 then d.fences_to_drop <- d.fences_to_drop - 1
     else begin
     d.n_fences <- d.n_fences + 1;
-    let had_flushing = d.flushing <> [] in
+    let had_flushing = has_flushing d in
     if not had_flushing then d.n_redundant_fences <- d.n_redundant_fences + 1;
     (if d.subs != [] then
        let p = d.dev_perf in
@@ -658,13 +695,13 @@ module Device = struct
            p.Perf.fence_cost + if had_flushing then p.Perf.write_latency else 0
          else 0
        in
-       emit d (T_fence { nflushing = List.length d.flushing; ns = tail }));
-    List.iter
-      (fun line ->
-        persist_line_now d line;
-        Hashtbl.remove d.pending line)
-      d.flushing;
-    d.flushing <- [];
+       emit d (T_fence { nflushing = d.n_flushing; ns = tail }));
+    for i = d.n_flushing - 1 downto 0 do
+      let line = d.flushing.(i) in
+      persist_line_now d line;
+      Hashtbl.remove d.pending line
+    done;
+    d.n_flushing <- 0;
     if Sim.in_sim () then begin
       let p = d.dev_perf in
       Sim.advance (p.Perf.fence_cost + if had_flushing then p.Perf.write_latency else 0)
@@ -692,8 +729,15 @@ module Device = struct
             | None -> ()
             | Some s -> Bytes.fill s off line_size '\000'))
       d.atomic_undo;
-    d.flushing <-
-      List.filter (fun l -> not (Hashtbl.mem d.atomic_undo l)) d.flushing;
+    let kept = ref 0 in
+    for i = 0 to d.n_flushing - 1 do
+      let line = d.flushing.(i) in
+      if not (Hashtbl.mem d.atomic_undo line) then begin
+        d.flushing.(!kept) <- line;
+        incr kept
+      end
+    done;
+    d.n_flushing <- !kept;
     Hashtbl.reset d.atomic_undo;
     d.atomic_depth <- 0
 
@@ -712,12 +756,12 @@ module Device = struct
       let lines = Hashtbl.fold (fun l _ acc -> l :: acc) d.atomic_undo [] in
       List.iter
         (fun line ->
-          match Hashtbl.find_opt d.pending line with
-          | Some Dirty ->
+          match lstate d line with
+          | Dirty ->
               clwb d (line * line_size);
               need_fence := true
-          | Some Flushing -> need_fence := true
-          | None -> ())
+          | Flushing -> need_fence := true
+          | Clean -> ())
         (List.sort compare lines);
       if !need_fence then sfence d;
       d.atomic_depth <- 0;
@@ -737,21 +781,20 @@ module Device = struct
     check_protection d addr true;
     let t0 = t_begin d in
     charge_store d addr 8;
-    let page, off = scalar_loc d addr 8 in
-    Bytes.set_int64_le (vol_page d page) off (Int64.of_int v);
+    let b = scalar_page d addr 8 in
+    Bytes.set_int64_le b (addr mod page_size) (Int64.of_int v);
     let line = addr / line_size in
     (* As in [clwb]: charge (and possibly block) before the state change so
        the transition and its trace event are not separated by a scheduling
        point an interleaved fence could slip through. *)
-    if Hashtbl.find_opt d.pending line <> Some Flushing then
-      charge_writeback d line_size;
+    if lstate d line <> Flushing then charge_writeback d line_size;
     atomic_note d line;
     heal_poison d line;
-    (match Hashtbl.find_opt d.pending line with
-    | Some Flushing -> ()
-    | Some Dirty | None ->
+    (match lstate d line with
+    | Flushing -> ()
+    | Dirty | Clean ->
         Hashtbl.replace d.pending line Flushing;
-        d.flushing <- line :: d.flushing);
+        push_flushing d line);
     trace_nt_store d addr 8 t0
 
   let nt_blit_string d s soff addr len =
@@ -778,11 +821,11 @@ module Device = struct
       for line = first to last do
         atomic_note d line;
         heal_poison d line;
-        match Hashtbl.find_opt d.pending line with
-        | Some Flushing -> ()
-        | Some Dirty | None ->
+        match lstate d line with
+        | Flushing -> ()
+        | Dirty | Clean ->
             Hashtbl.replace d.pending line Flushing;
-            d.flushing <- line :: d.flushing
+            push_flushing d line
       done;
       trace_nt_store d addr len t0
     end
@@ -816,11 +859,11 @@ module Device = struct
       for line = first to last do
         atomic_note d line;
         heal_poison d line;
-        match Hashtbl.find_opt d.pending line with
-        | Some Flushing -> ()
-        | Some Dirty | None ->
+        match lstate d line with
+        | Flushing -> ()
+        | Dirty | Clean ->
             Hashtbl.replace d.pending line Flushing;
-            d.flushing <- line :: d.flushing
+            push_flushing d line
       done;
       trace_nt_store d addr len t0
     end
@@ -829,7 +872,7 @@ module Device = struct
     let lines = Hashtbl.fold (fun line _ acc -> line :: acc) d.pending [] in
     List.iter (fun line -> persist_line_now d line) lines;
     Hashtbl.reset d.pending;
-    d.flushing <- [];
+    d.n_flushing <- 0;
     if d.subs != [] then emit d T_reset
 
   let pending_lines d = Hashtbl.length d.pending
@@ -840,12 +883,7 @@ module Device = struct
      device's pending table is the authoritative version of that
      bookkeeping, so exposing it keeps the batcher honest even when a
      kernel call fences in the middle of a user-space operation. *)
-  let flushing_lines d = List.length d.flushing
-
-  let line_needs_flush d addr =
-    match Hashtbl.find_opt d.pending (addr / line_size) with
-    | Some Dirty -> true
-    | Some Flushing | None -> false
+  let line_needs_flush d addr = lstate d (addr / line_size) = Dirty
 
   type crash_policy = [ `Random | `Drop_all | `Keep_all ]
 
@@ -863,7 +901,7 @@ module Device = struct
       (fun line _state -> if keep line then persist_line_now d line)
       d.pending;
     Hashtbl.reset d.pending;
-    d.flushing <- [];
+    d.n_flushing <- 0;
     if d.subs != [] then emit d T_reset;
     (* Volatile view := persistent view. *)
     for i = 0 to d.npages - 1 do
@@ -889,7 +927,7 @@ module Device = struct
     snap_vol : (int * bytes) array;
     snap_shadow : (int * bytes) array;
     snap_pending : (int * line_state) array;
-    snap_flushing : int list;
+    snap_flushing : int array;
     snap_rng : int64;
     snap_stats : int array;
     snap_poison : (int * bool) array;
@@ -911,7 +949,7 @@ module Device = struct
       snap_pending =
         Array.of_list
           (Hashtbl.fold (fun l s acc -> (l, s) :: acc) d.pending []);
-      snap_flushing = d.flushing;
+      snap_flushing = Array.sub d.flushing 0 d.n_flushing;
       snap_rng = Sim.Rng.get_state d.crash_rng;
       snap_stats =
         [| d.n_reads; d.n_writes; d.n_flushes; d.n_fences;
@@ -932,7 +970,8 @@ module Device = struct
       snap.snap_shadow;
     Hashtbl.reset d.pending;
     Array.iter (fun (l, s) -> Hashtbl.replace d.pending l s) snap.snap_pending;
-    d.flushing <- snap.snap_flushing;
+    d.flushing <- Array.copy snap.snap_flushing;
+    d.n_flushing <- Array.length snap.snap_flushing;
     Sim.Rng.set_state d.crash_rng snap.snap_rng;
     (match snap.snap_stats with
     | [| r; w; fl; fe; rfl; rfe; mf |] ->
@@ -950,6 +989,8 @@ module Device = struct
     d.atomic_depth <- 0;
     Hashtbl.reset d.atomic_undo;
     Hashtbl.reset d.line_caches;
+    d.lc_tid <- min_int;
+    d.lc <- [||];
     if d.subs != [] then emit d T_reset
 
   (* ---- host-file image persistence (for the CLI tools) ----------------- *)

@@ -190,10 +190,10 @@ module Device : sig
   val pending_lines : t -> int
   (** Number of lines not yet durable (observable for tests). *)
 
-  val flushing_lines : t -> int
-  (** Number of lines flushed but not yet fenced.  When this is 0 an
-      [sfence] would be a no-op (and is counted redundant); persist
-      batchers use it to elide exactly those fences. *)
+  val has_flushing : t -> bool
+  (** [true] iff some line is flushed but not yet fenced, in O(1).  When
+      it is [false] an [sfence] would be a no-op (and is counted
+      redundant); persist batchers use it to elide exactly those fences. *)
 
   val line_needs_flush : t -> int -> bool
   (** [line_needs_flush d addr] is true iff the cache line holding [addr]

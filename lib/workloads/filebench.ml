@@ -97,6 +97,7 @@ let fileserver_run ?(dir_width = 20) sys ~nthreads ~ops =
       let rng = Sim.Rng.create (Int64.of_int (tid + 13)) in
       let buf = Bytes.create ctx.io_size in
       let data = String.make ctx.io_size 'w' in
+      let half = String.sub data 0 (ctx.io_size / 2) in
       fun ~i ->
         ignore i;
         let p = ctx.paths.(Sim.Rng.int rng (Array.length ctx.paths)) in
@@ -105,7 +106,7 @@ let fileserver_run ?(dir_width = 20) sys ~nthreads ~ops =
             (* delete + recreate with a full write *)
             ignore (V.unlink fs p);
             ignore (V.write_file fs p ~mode:0o644 data)
-        | 1 | 2 -> append fs p (String.sub data 0 (ctx.io_size / 2))
+        | 1 | 2 -> append fs p half
         | 3 | 4 -> read_whole fs p buf
         | _ -> ignore (V.stat fs p))
     ()
@@ -122,13 +123,14 @@ let webserver_run ?(dir_width = 20) sys ~nthreads ~ops =
       let fs = ctx.inst.Fslab.fs in
       let rng = Sim.Rng.create (Int64.of_int (tid + 31)) in
       let buf = Bytes.create ctx.io_size in
+      let entry = String.make 512 'l' in
       fun ~i ->
         ignore i;
         for _ = 1 to 10 do
           let p = ctx.paths.(Sim.Rng.int rng (Array.length ctx.paths)) in
           read_whole fs p buf
         done;
-        append fs "/weblog" (String.make 512 'l'))
+        append fs "/weblog" entry)
     ()
 
 (* webproxy: create+write then 5 re-reads, everything in one huge flat

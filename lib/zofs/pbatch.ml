@@ -21,7 +21,7 @@
                             recorded no-op and is elided.
 
    Both consult the device's own line-state table
-   ([Nvm.Device.line_needs_flush] / [flushing_lines]) rather than a
+   ([Nvm.Device.line_needs_flush] / [has_flushing]) rather than a
    shadow set kept here.  That is deliberate: a kernel call in the middle
    of a µFS operation (e.g. coffer_enlarge committing its atomic section)
    issues a real fence, and a privately-kept "already flushed" set would
@@ -51,7 +51,7 @@ let flush dev addr len =
   done
 
 let barrier dev =
-  if Nvm.Device.flushing_lines dev > 0 then begin
+  if Nvm.Device.has_flushing dev then begin
     if !over_elide then Obs.cnt "pbatch.fences_overelided" 1
     else Nvm.Device.sfence dev
   end

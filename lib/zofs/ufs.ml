@@ -110,7 +110,7 @@ let with_coffer t cs ~write f =
   | K.Offline -> raise (Ui.Coffer_unavailable { cid = cs.cs_cid; write }));
   Obs.set_op_coffer cs.cs_cid;
   let perm = if write then Mpk.Pk_read_write else Mpk.Pk_read in
-  Mpk.with_keys t.mpk [ (cs.cs_pkey, perm) ] f
+  Mpk.with_key t.mpk cs.cs_pkey perm f
 
 (* Take [ino]'s lease and, before running [f], roll forward/back any
    intention record a dead previous holder left mid-mutation (the record can
@@ -158,15 +158,13 @@ let rec map_coffer t cid =
   match Transient.retry (fun () -> K.coffer_map t.kfs cid) with
   | Ok m -> (
       let info =
-        Mpk.with_keys t.mpk
-          [ (m.K.m_pkey, Mpk.Pk_read) ]
+        Mpk.with_key t.mpk m.K.m_pkey Mpk.Pk_read
           (fun () -> Coffer.read t.dev ~id:cid)
       in
       match info with
       | Some info ->
           let balloc =
-            Mpk.with_keys t.mpk
-              [ (m.K.m_pkey, Mpk.Pk_read) ]
+            Mpk.with_key t.mpk m.K.m_pkey Mpk.Pk_read
               (fun () -> Balloc.attach t.dev ~custom:m.K.m_custom ~cid t.kfs)
           in
           let cs =
@@ -349,8 +347,7 @@ let create_sub_coffer t ~path ~kind ~mode ~uid ~gid =
   (* Map first with the raw kernel mapping and initialize the µFS structures
      (custom page, root inode) before attaching the allocator. *)
   let* m = Transient.retry (fun () -> K.coffer_map t.kfs info.Coffer.id) in
-  Mpk.with_keys t.mpk
-    [ (m.K.m_pkey, Mpk.Pk_read_write) ]
+  Mpk.with_key t.mpk m.K.m_pkey Mpk.Pk_read_write
     (fun () ->
       init_coffer_structs t.dev ~root_file:m.K.m_root_file ~custom:m.K.m_custom
         ~kind ~mode ~uid ~gid);

@@ -88,6 +88,61 @@ let test_with_keys_exclusive () =
             "other coffer closed" (Some "MPK: region 2 access-disabled")
             (fault_reason (fun () -> D.read_u64 dev Nvm.page_size))))
 
+let test_with_key_matches_with_keys () =
+  (* The single-key form installs the same register value and emits the
+     same trace events as the list form it stands in for. *)
+  let dev, mpk = mk () in
+  let events = ref [] in
+  Mpk.subscribe_named mpk ~name:"t" (fun e -> events := e :: !events);
+  in_proc (fun p ->
+      Mpk.map_page mpk ~pid:p.Sim.Proc.pid ~page:0 ~writable:true ~pkey:3;
+      List.iter
+        (fun perm ->
+          let inside grant =
+            events := [];
+            let seen =
+              grant (fun () ->
+                  (Mpk.rdpkru mpk, fault_reason (fun () -> D.write_u64 dev 0 1)))
+            in
+            (seen, !events)
+          in
+          let by_list = inside (Mpk.with_keys mpk [ (3, perm) ]) in
+          let by_key = inside (Mpk.with_key mpk 3 perm) in
+          Alcotest.(check bool)
+            "same register, fault and events" true (by_list = by_key))
+        [ Mpk.Pk_none; Mpk.Pk_read; Mpk.Pk_read_write ];
+      Alcotest.(check bool) "restored" true (Mpk.rdpkru mpk = []));
+  Alcotest.check_raises "pkey 0" (Invalid_argument "Mpk: pkey out of range")
+    (fun () -> Mpk.with_key mpk 0 Mpk.Pk_read (fun () -> ()))
+
+let words_allocated f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_check_allocation_guard () =
+  (* The protection check runs on every simulated access (here through
+     the device's hook) and the one-key window on every coffer operation:
+     neither may allocate. *)
+  let dev, mpk = mk () in
+  let words = ref infinity in
+  in_proc (fun p ->
+      Mpk.map_page mpk ~pid:p.Sim.Proc.pid ~page:0 ~writable:true ~pkey:3;
+      let access () =
+        D.write_u64 dev 8 1;
+        ignore (D.read_u64 dev 8)
+      in
+      let round () = Mpk.with_key mpk 3 Mpk.Pk_read_write access in
+      round ();
+      words :=
+        words_allocated (fun () ->
+            for _ = 1 to 10_000 do
+              round ()
+            done));
+  if !words >= 1000. then
+    Alcotest.failf "10,000 with_key + check rounds allocated %.0f minor words"
+      !words
+
 let test_per_thread_pkru () =
   (* A region opened in one thread stays closed in a concurrent thread
      (stray writes in other threads cannot use the window, §3.4.1). *)
@@ -268,6 +323,24 @@ let test_write_window_requires_kernel () =
         (Invalid_argument "Mpk.with_write_window: not in kernel mode")
         (fun () -> Mpk.with_write_window mpk (fun () -> ())))
 
+let test_kernel_outside_sim () =
+  (* Code outside any simulation runs as tid -1: kernel mode and the write
+     window must hold there exactly as in a simulated thread. *)
+  let dev, mpk = mk () in
+  Alcotest.(check int) "outside a sim" (-1) (Sim.self_tid ());
+  Alcotest.(check (option string))
+    "kernel write blocked at tid -1"
+    (Some "kernel write outside CR0.WP write window")
+    (fault_reason (fun () ->
+         Mpk.with_kernel mpk (fun () -> D.write_u64 dev 0 1)));
+  Mpk.with_kernel mpk (fun () ->
+      Mpk.with_write_window mpk (fun () -> D.write_u64 dev 0 5));
+  Alcotest.(check int) "written in window at tid -1" 5
+    (Mpk.with_kernel mpk (fun () -> D.read_u64 dev 0));
+  Alcotest.(check bool) "kernel mode left" false (Mpk.in_kernel mpk);
+  Alcotest.(check bool) "no residue at tid -1" false
+    (Mpk.has_thread_state mpk ~tid:(-1))
+
 let test_fault_count () =
   let dev, mpk = mk () in
   in_proc (fun _ ->
@@ -361,6 +434,10 @@ let () =
           Alcotest.test_case "with_keys restores" `Quick test_with_keys_restores;
           Alcotest.test_case "with_keys exclusive (G2)" `Quick
             test_with_keys_exclusive;
+          Alcotest.test_case "with_key matches with_keys" `Quick
+            test_with_key_matches_with_keys;
+          Alcotest.test_case "check + with_key allocation guard" `Quick
+            test_check_allocation_guard;
           Alcotest.test_case "per-thread PKRU" `Quick test_per_thread_pkru;
           Alcotest.test_case "rdpkru" `Quick test_rdpkru;
           Alcotest.test_case "rdpkru interleaved threads" `Quick
@@ -375,6 +452,8 @@ let () =
           Alcotest.test_case "write window" `Quick test_write_window;
           Alcotest.test_case "window needs kernel" `Quick
             test_write_window_requires_kernel;
+          Alcotest.test_case "kernel mode outside a sim" `Quick
+            test_kernel_outside_sim;
           Alcotest.test_case "fault count" `Quick test_fault_count;
         ] );
     ]

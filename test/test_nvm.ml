@@ -340,6 +340,82 @@ let test_pollute_cache () =
   in
   Alcotest.(check int) "miss again after pollution" 305 t
 
+let test_line_cache_per_thread () =
+  (* The device memoises the last thread's cache: a second thread must
+     still miss on a line only the first one has loaded, and the first
+     must still hit once it runs again. *)
+  let d = D.create ~perf:Nvm.Perf.optane ~size:(64 * Nvm.page_size) () in
+  let cost () =
+    let t0 = Sim.now () in
+    ignore (D.read_u64 d 0);
+    Sim.now () - t0
+  in
+  let a = ref [] and b = ref [] in
+  let w = Sim.create () in
+  Sim.spawn w ~name:"a" (fun () ->
+      let first = cost () in
+      Sim.advance 1_000;
+      a := [ first; cost () ]);
+  Sim.spawn w ~at:500 ~name:"b" (fun () -> b := [ cost () ]);
+  Sim.run w;
+  Alcotest.(check (list int)) "a: miss, then hit" [ 305; 2 ] !a;
+  Alcotest.(check (list int)) "b: own miss" [ 305 ] !b
+
+let test_restore_drops_line_cache () =
+  (* Restore resets the simulated caches, memo included. *)
+  let d = D.create ~perf:Nvm.Perf.optane ~size:(64 * Nvm.page_size) () in
+  let t =
+    Sim.run_thread (fun () ->
+        ignore (D.read_u64 d 0);
+        D.restore d (D.snapshot d);
+        let t0 = Sim.now () in
+        ignore (D.read_u64 d 0);
+        Sim.now () - t0)
+  in
+  Alcotest.(check int) "miss after restore" 305 t
+
+let words_allocated f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_access_allocation_guard () =
+  (* Untraced in-sim loads and stores allocate nothing.  A store + clwb +
+     sfence round may allocate only the 4-word bucket with which the
+     fenced line re-enters the pending table: the table stays a Hashtbl
+     so crash coin draws keep their order (DESIGN.md section 17). *)
+  let d = D.create ~perf:Nvm.Perf.optane ~size:(64 * Nvm.page_size) () in
+  let rounds = 10_000 in
+  let rw = ref infinity and persist = ref infinity in
+  Sim.run_thread (fun () ->
+      let sum = ref 0 in
+      let load_store () =
+        for i = 1 to rounds do
+          sum := !sum + D.read_u64 d 64;
+          D.write_u64 d 64 i
+        done
+      in
+      let store_persist () =
+        for i = 1 to rounds do
+          sum := !sum + D.read_u64 d 128;
+          D.write_u64 d 128 i;
+          D.clwb d 128;
+          D.sfence d
+        done
+      in
+      (* warm-up: materialize the page, the line cache and the stack *)
+      load_store ();
+      store_persist ();
+      rw := words_allocated load_store;
+      persist := words_allocated store_persist);
+  if !rw >= 1000. then
+    Alcotest.failf "%d load/store rounds allocated %.0f minor words" rounds !rw;
+  let budget = 1000. +. (4. *. float_of_int rounds) in
+  if !persist >= budget then
+    Alcotest.failf
+      "%d store + clwb + sfence rounds allocated %.0f minor words (budget %.0f)"
+      rounds !persist budget
+
 let test_fence_cost () =
   let d = D.create ~perf:Nvm.Perf.optane ~size:(64 * Nvm.page_size) () in
   let t =
@@ -474,6 +550,12 @@ let () =
           Alcotest.test_case "read latency" `Quick test_read_latency_charged;
           Alcotest.test_case "cache hit" `Quick test_cache_hit_cheap;
           Alcotest.test_case "pollute cache" `Quick test_pollute_cache;
+          Alcotest.test_case "line cache per thread" `Quick
+            test_line_cache_per_thread;
+          Alcotest.test_case "restore drops line cache" `Quick
+            test_restore_drops_line_cache;
+          Alcotest.test_case "access allocation guard" `Quick
+            test_access_allocation_guard;
           Alcotest.test_case "flush+fence cost" `Quick test_fence_cost;
           Alcotest.test_case "stats" `Quick test_stats_counted;
         ] );

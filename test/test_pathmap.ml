@@ -65,6 +65,88 @@ let test_valid_name () =
   Alcotest.(check bool) "slash" false (Pathx.valid_name "a/b");
   Alcotest.(check bool) "too long" false (Pathx.valid_name (String.make 100 'x'))
 
+(* Component-based reference for the slicing fast paths of [Pathx]: split
+   into components, resolve, join again — what every function did for
+   every input before canonical paths were special-cased. *)
+module Ref = struct
+  let components p =
+    String.split_on_char '/' p |> List.filter (fun c -> c <> "")
+
+  let of_components = function
+    | [] -> "/"
+    | cs -> "/" ^ String.concat "/" cs
+
+  let normalize p =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | "." :: rest -> go acc rest
+      | ".." :: rest -> (
+          match acc with [] -> go [] rest | _ :: tl -> go tl rest)
+      | c :: rest -> go (c :: acc) rest
+    in
+    of_components (go [] (components p))
+
+  let concat base rel =
+    if Pathx.is_absolute rel then normalize rel
+    else if base = "/" then normalize ("/" ^ rel)
+    else normalize (base ^ "/" ^ rel)
+
+  let basename p =
+    match List.rev (components p) with [] -> "/" | b :: _ -> b
+
+  let dirname p =
+    match List.rev (components p) with
+    | [] | [ _ ] -> "/"
+    | _ :: rest -> of_components (List.rev rest)
+
+  let is_prefix ~prefix p =
+    if prefix = "/" then Pathx.is_absolute p
+    else
+      let lp = String.length prefix and l = String.length p in
+      l >= lp && String.sub p 0 lp = prefix && (l = lp || p.[lp] = '/')
+
+  let valid_name n =
+    n <> "" && n <> "." && n <> ".."
+    && String.length n <= Pathx.max_name_length
+    && (not (String.contains n '/'))
+    && not (String.contains n '\000')
+end
+
+(* Paths over {a, b, ., /}: every mix of empty, ".", ".." and plain
+   components, with and without leading, doubled and trailing slashes.
+   Half of them are passed through the reference normalizer so the
+   canonical fast paths are exercised as often as the fallbacks. *)
+let path_gen =
+  QCheck.Gen.(
+    let raw = string_size ~gen:(oneofl [ 'a'; 'b'; '.'; '/' ]) (int_range 0 12) in
+    oneof [ raw; map Ref.normalize raw ])
+
+let qcheck_pathx_matches_reference =
+  QCheck.Test.make ~name:"Pathx fast paths agree with the component reference"
+    ~count:2000
+    QCheck.(make ~print:Print.(pair string string) (Gen.pair path_gen path_gen))
+    (fun (p, q) ->
+      let canonical_kept = Ref.normalize p <> p || Pathx.normalize p == p in
+      Pathx.normalize p = Ref.normalize p
+      && canonical_kept
+      && Pathx.dirname p = Ref.dirname p
+      && Pathx.basename p = Ref.basename p
+      && Pathx.concat p q = Ref.concat p q
+      && Pathx.is_prefix ~prefix:p q = Ref.is_prefix ~prefix:p q
+      && Pathx.valid_name p = Ref.valid_name p)
+
+let test_canonical_fast_paths () =
+  (* Spot checks of the sliced answers, including their sharing: a
+     canonical path normalizes to itself, not to a copy. *)
+  let p = "/a/b/c" in
+  Alcotest.(check bool) "normalize returns its input" true (Pathx.normalize p == p);
+  Alcotest.(check string) "dirname" "/a/b" (Pathx.dirname p);
+  Alcotest.(check string) "basename" "c" (Pathx.basename p);
+  Alcotest.(check string) "concat" "/a/b/c/d" (Pathx.concat p "d");
+  Alcotest.(check string) "concat at root" "/d" (Pathx.concat "/" "d");
+  Alcotest.(check string) "dotted name" "/a/.x" (Pathx.concat "/a" ".x");
+  Alcotest.(check string) "non-canonical base" "/a/d" (Pathx.concat "/a//" "d")
+
 (* ---- Path_map ----------------------------------------------------------- *)
 
 let ok_or_fail = function
@@ -220,6 +302,9 @@ let () =
           Alcotest.test_case "prefix ops" `Quick test_prefix_ops;
           Alcotest.test_case "concat" `Quick test_concat;
           Alcotest.test_case "valid_name" `Quick test_valid_name;
+          Alcotest.test_case "canonical fast paths" `Quick
+            test_canonical_fast_paths;
+          QCheck_alcotest.to_alcotest qcheck_pathx_matches_reference;
         ] );
       ( "map",
         [

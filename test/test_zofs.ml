@@ -218,6 +218,25 @@ let test_stat_fields () =
       let std = ok_or_fail (V.stat fs "/") in
       Alcotest.(check bool) "root dir" true (std.Ft.st_kind = Ft.Directory))
 
+let test_stat_word_budget () =
+  (* The host cost of a syscall's path handling: a stat three levels deep
+     walks canonical paths, which are sliced, not split and re-joined. *)
+  let w = make_world () in
+  let words = ref infinity in
+  in_proc w (fun fs ->
+      ok_or_fail (V.mkdir fs "/a" 0o755);
+      ok_or_fail (V.mkdir fs "/a/b" 0o755);
+      ok_or_fail (V.write_file fs "/a/b/c" "x");
+      ignore (ok_or_fail (V.stat fs "/a/b/c"));
+      let n = 100 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (V.stat fs "/a/b/c")
+      done;
+      words := (Gc.minor_words () -. before) /. float_of_int n);
+  if !words >= 400. then
+    Alcotest.failf "stat of a three-deep path allocated %.0f words" !words
+
 let test_symlink_follow () =
   let w = make_world () in
   in_proc w (fun fs ->
@@ -551,6 +570,7 @@ let () =
       ( "metadata",
         [
           Alcotest.test_case "stat fields" `Quick test_stat_fields;
+          Alcotest.test_case "stat word budget" `Quick test_stat_word_budget;
           Alcotest.test_case "symlink follow" `Quick test_symlink_follow;
           Alcotest.test_case "symlink relative" `Quick test_symlink_relative;
           Alcotest.test_case "symlink loop" `Quick test_symlink_loop;
