@@ -9,7 +9,8 @@
    multi-process experiments ride along: 64 tenant processes — each with
    its own FSLib (dispatcher + FD table + per-process mappings) — hammer
    one shared file / one shared directory through the syscall gate, so the
-   baseline also pins the cross-process lease-handoff cost.
+   baseline also pins the cross-process lease-handoff cost.  One offline
+   recovery of a fixed tree closes the set.
 
    Everything measured is simulated and cooperatively scheduled, so two
    runs of the same binary produce byte-identical numbers; the committed
@@ -50,31 +51,34 @@ let ok = function
   | Ok v -> v
   | Error e -> failwith ("perf_gate: " ^ Treasury.Errno.to_string e)
 
-(* Run [measured] in a fresh single-thread ZoFS world after [setup], with
-   device stats, the syscall counter and the enlarge counter bracketing
-   exactly the measured phase. *)
+(* Run [f] as the measured phase on [dev] / [kfs]: device stats, the
+   syscall counter and the enlarge counter bracket exactly [f]. *)
+let measure ~ops dev kfs f =
+  Nvm.Device.reset_stats dev;
+  let c0 = Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) in
+  let e0 = Treasury.Kernfs.enlarge_count kfs in
+  let t0 = Sim.now () in
+  f ();
+  {
+    ops;
+    sim_ns = Sim.now () - t0;
+    flushes = Nvm.Device.stat_flushes dev;
+    redundant_flushes = Nvm.Device.stat_redundant_flushes dev;
+    fences = Nvm.Device.stat_fences dev;
+    redundant_fences = Nvm.Device.stat_redundant_fences dev;
+    crossings = Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) - c0;
+    enlarge_calls = Treasury.Kernfs.enlarge_count kfs - e0;
+  }
+
+let root_proc () = Sim.Proc.create ~uid:0 ~gid:0 ()
+
+(* Run [measured] in a fresh single-thread ZoFS world after [setup]. *)
 let in_world ~ops ~setup ~measured () =
-  Sim.run_thread ~proc:(Sim.Proc.create ~uid:0 ~gid:0 ()) (fun () ->
+  Sim.run_thread ~proc:(root_proc ()) (fun () ->
       let inst = FL.make ~pages:16384 FL.Zofs in
-      let kfs = Option.get inst.FL.kernfs in
-      let dev = inst.FL.device in
       setup inst.FL.fs;
-      Nvm.Device.reset_stats dev;
-      let c0 = Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) in
-      let e0 = Treasury.Kernfs.enlarge_count kfs in
-      let t0 = Sim.now () in
-      measured inst.FL.fs;
-      {
-        ops;
-        sim_ns = Sim.now () - t0;
-        flushes = Nvm.Device.stat_flushes dev;
-        redundant_flushes = Nvm.Device.stat_redundant_flushes dev;
-        fences = Nvm.Device.stat_fences dev;
-        redundant_fences = Nvm.Device.stat_redundant_fences dev;
-        crossings =
-          Treasury.Gate.syscall_count (Treasury.Kernfs.gate kfs) - c0;
-        enlarge_calls = Treasury.Kernfs.enlarge_count kfs - e0;
-      })
+      measure ~ops inst.FL.device (Option.get inst.FL.kernfs) (fun () ->
+          measured inst.FL.fs))
 
 let block = String.make 4096 'p'
 
@@ -161,6 +165,30 @@ let exp_truncate ~ops () =
         ok (V.truncate fs (Printf.sprintf "/d/t%d" i) 4096)
       done)
     ()
+
+(* Offline recovery (paper §6.5) of a fixed tree — 20 directories of 20
+   16 KB files in one coffer — after a power failure and a KernFS remount:
+   one op, the whole recover_all. *)
+let exp_recover () =
+  let dev =
+    Sim.run_thread ~proc:(root_proc ()) (fun () ->
+        let inst = FL.make ~pages:16384 FL.Zofs in
+        let fs = inst.FL.fs and data = String.make 16384 'r' in
+        for d = 1 to 20 do
+          ok (V.mkdir fs (Printf.sprintf "/d%d" d) 0o755);
+          for f = 1 to 20 do
+            ok
+              (V.write_file fs
+                 (Printf.sprintf "/d%d/f%d" d f)
+                 ~mode:0o644 data)
+          done
+        done;
+        inst.FL.device)
+  in
+  Nvm.Device.crash dev;
+  Sim.run_thread ~proc:(root_proc ()) (fun () ->
+      let kfs = Treasury.Kernfs.mount dev (Mpk.create dev) in
+      measure ~ops:1 dev kfs (fun () -> ignore (Zofs.Recovery.recover_all kfs)))
 
 (* Like [in_world], but [nprocs] tenant processes.  Each tenant is a
    fresh [Sim.Proc] with its own FSLib built over the one shared KernFS —
@@ -267,6 +295,7 @@ let experiments ~quick =
       fun () -> exp_shared_append ~nprocs:64 ~ops_per_proc:(s 8) () );
     ( "shared-create-64p",
       fun () -> exp_shared_create ~nprocs:64 ~ops_per_proc:(s 8) () );
+    ("recover", exp_recover);
   ]
 
 let run_all ~quick () =

@@ -244,32 +244,45 @@ let retarget dev ~ino name ~coffer ~inode =
 
 (* ---- iteration ----------------------------------------------------------- *)
 
-let iter dev ~ino f =
+(* The one navigation of a directory's index: L1 → each second-level page
+   → its inline slots → its bucket chains, each line read once.  Every
+   index page (L1, second-level, chain) goes to [page] in that order;
+   every valid dentry goes to [dentry].  Without [dentry] the inline slots
+   are not read at all. *)
+let walk ?dentry dev ~ino ~page =
+  let slots slot_addr base first last =
+    match dentry with
+    | None -> ()
+    | Some f ->
+        for i = first to last do
+          let a = slot_addr base i in
+          if dentry_valid dev a then
+            match read_dentry dev a with Some de -> f de | None -> ()
+        done
+  in
   let l1 = l1_page dev ~ino in
-  if l1 <> 0 then
+  if l1 <> 0 then begin
+    page l1;
     for l1i = 0 to l1_entries - 1 do
       let l2 = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
       if l2 <> 0 then begin
-        for i = 0 to l2_inline_dentries - 1 do
-          let a = inline_slot l2 i in
-          if dentry_valid dev a then
-            match read_dentry dev a with Some de -> f de | None -> ()
-        done;
+        page l2;
+        slots inline_slot l2 0 (l2_inline_dentries - 1);
         for b = 0 to l2_buckets - 1 do
-          let rec chase page =
-            if page <> 0 then begin
-              for i = 1 to chain_dentries do
-                let a = chain_slot page i in
-                if dentry_valid dev a then
-                  match read_dentry dev a with Some de -> f de | None -> ()
-              done;
-              chase (chain_next dev page)
+          let rec chase p =
+            if p <> 0 then begin
+              page p;
+              slots chain_slot p 1 chain_dentries;
+              chase (chain_next dev p)
             end
           in
           chase (Nvm.Device.read_u64 dev (l2 + l2_bucket_base + (b * 8)))
         done
       end
     done
+  end
+
+let iter dev ~ino f = walk dev ~ino ~page:ignore ~dentry:f
 
 exception Stop
 
@@ -285,26 +298,8 @@ let count dev ~ino =
   !n
 
 (* All pages used by the directory index itself (L1 page, second-level
-   pages, chain pages) — for deletion and recovery. *)
+   pages, chain pages), last-visited first — for deletion. *)
 let structure_pages dev ~ino =
   let pages = ref [] in
-  let l1 = l1_page dev ~ino in
-  if l1 <> 0 then begin
-    pages := [ l1 ];
-    for l1i = 0 to l1_entries - 1 do
-      let l2 = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
-      if l2 <> 0 then begin
-        pages := l2 :: !pages;
-        for b = 0 to l2_buckets - 1 do
-          let rec chase page =
-            if page <> 0 then begin
-              pages := page :: !pages;
-              chase (chain_next dev page)
-            end
-          in
-          chase (Nvm.Device.read_u64 dev (l2 + l2_bucket_base + (b * 8)))
-        done
-      end
-    done
-  end;
+  walk dev ~ino ~page:(fun p -> pages := p :: !pages);
   !pages

@@ -111,17 +111,38 @@ type cross_ref = {
 
 let page_of addr = addr / Layout.page_size
 
+(* Does the page holding [addr] belong to the coffer?  [runs] is the
+   coffer's run list as coffer_recover_begin handed it out under the kernel
+   lock; nobody else can map the coffer until coffer_recover_end, so the
+   answer cannot go stale during the scan and costs no syscall. *)
+let owned_by runs =
+  let runs = Array.of_list runs in
+  Array.sort compare runs;
+  fun addr ->
+    let p = page_of addr in
+    (* [lo] ends as the number of runs starting at or before [p]. *)
+    let lo = ref 0 and hi = ref (Array.length runs) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if fst runs.(mid) <= p then lo := mid + 1 else hi := mid
+    done;
+    !lo > 0
+    &&
+    let start, len = runs.(!lo - 1) in
+    p < start + len
+
 (* Traverse one coffer, collecting in-use pages and cross-coffer refs;
    corrupted dentries are cleared, a corrupted root inode is reinitialized
-   as an empty directory. *)
-let scan_coffer dev kfs report ~cid ~root_file ~coffer_path xrefs =
-  let in_use : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let mark addr = Hashtbl.replace in_use (page_of addr) () in
-  let owned addr =
-    match K.page_owner kfs ~page:(page_of addr) with
-    | Ok owner -> owner = cid
-    | Error _ -> false
-  in
+   as an empty directory.  An inode's pages (its own, its index pages, its
+   children's) and the cross-coffer refs found under it are committed only
+   when its whole scan succeeds: a directory dropped halfway releases
+   everything it had already collected.  Returns the in-use pages (a page
+   may repeat). *)
+let scan_coffer dev kfs report ~runs ~cid ~root_file ~coffer_path xrefs =
+  let owned = owned_by runs in
+  let kept = ref [] in
+  let mark addr = kept := page_of addr :: !kept in
+  let mark_owned addr = if owned addr then mark addr in
   let drop_dentry (de, child_path) =
     Dir.clear_dentry dev de.Dir.de_addr;
     report.dentries_dropped <- report.dentries_dropped + 1;
@@ -131,7 +152,13 @@ let scan_coffer dev kfs report ~cid ~root_file ~coffer_path xrefs =
      simulated SIGSEGV of §3.4.2) marks the inode unrecoverable, like any
      other corruption: the referencing dentry is dropped. *)
   let rec scan_inode ino cur_path =
-    try scan_inode_body ino cur_path with Nvm.Fault _ -> false
+    let kept0 = !kept and xrefs0 = !xrefs in
+    let ok = try scan_inode_body ino cur_path with Nvm.Fault _ -> false in
+    if not ok then begin
+      kept := kept0;
+      xrefs := xrefs0
+    end;
+    ok
   and scan_inode_body ino cur_path =
     if (not (owned ino)) || not (Inode.valid dev ~ino) then false
     else begin
@@ -144,17 +171,11 @@ let scan_coffer dev kfs report ~cid ~root_file ~coffer_path xrefs =
         add_finding report (Cleared_intent { coffer = cid; ino })
       end;
       (match Inode.kind dev ~ino with
-      | Some Inode.Regular ->
-          List.iter
-            (fun p -> if owned p then mark p)
-            (File.data_pages dev ~ino)
+      | Some Inode.Regular -> List.iter mark_owned (File.data_pages dev ~ino)
       | Some Inode.Symlink -> ()
       | Some Inode.Directory ->
-          List.iter
-            (fun p -> if owned p then mark p)
-            (Dir.structure_pages dev ~ino);
           let to_drop = ref [] in
-          Dir.iter dev ~ino (fun de ->
+          Dir.walk dev ~ino ~page:mark_owned ~dentry:(fun de ->
               let child_path = Treasury.Pathx.concat cur_path de.Dir.de_name in
               if de.Dir.de_coffer <> 0 then begin
                 let registered =
@@ -210,9 +231,9 @@ let scan_coffer dev kfs report ~cid ~root_file ~coffer_path xrefs =
           ~gid:0);
     report.inodes_reinitialized <- report.inodes_reinitialized + 1;
     add_finding report (Reinitialized_root { coffer = cid; path = coffer_path });
-    Hashtbl.replace in_use (page_of root_file) ()
+    mark root_file
   end;
-  in_use
+  !kept
 
 (* Recover a single coffer; the caller must be able to map it (recovery runs
    as root).  Returns true when the coffer was scanned and left readable. *)
@@ -248,13 +269,14 @@ let recover_coffer ufs kfs report xrefs (info : Coffer.info) =
           let t_kernel0 = Sim.now () in
           let in_use =
             Ufs.with_coffer ufs cs ~write:true (fun () ->
-                scan_coffer dev kfs report ~cid:info.Coffer.id
+                scan_coffer dev kfs report ~runs ~cid:info.Coffer.id
                   ~root_file:info.Coffer.root_file ~coffer_path:info.Coffer.path
                   xrefs)
           in
-          Hashtbl.replace in_use (page_of info.Coffer.custom) ();
           let t_scan = Sim.now () in
-          let pages = Hashtbl.fold (fun p () acc -> p :: acc) in_use [] in
+          let pages =
+            List.sort_uniq compare (page_of info.Coffer.custom :: in_use)
+          in
           (match K.coffer_recover_end kfs info.Coffer.id ~in_use:pages with
           | Ok () -> ()
           | Error _ -> ());

@@ -676,8 +676,10 @@ let rec subtree_pages t dev ~ino acc =
   | Inode.Regular -> File.data_pages dev ~ino @ acc
   | Inode.Symlink -> acc
   | Inode.Directory ->
-      let acc = ref (Dir.structure_pages dev ~ino @ acc) in
-      Dir.iter dev ~ino (fun de ->
+      let acc = ref acc in
+      Dir.walk dev ~ino
+        ~page:(fun p -> acc := p :: !acc)
+        ~dentry:(fun de ->
           if de.Dir.de_coffer = 0 then
             acc := subtree_pages t dev ~ino:de.Dir.de_inode !acc);
       !acc

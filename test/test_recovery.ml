@@ -264,6 +264,256 @@ let test_recovery_torn_coffer_root_page () =
         (ok_or_fail (V.read_file fs "/keep"));
       ignore (ok_or_fail (V.readdir fs "/")))
 
+(* ---- ownership, commit-on-success and the directory walk ---------------- *)
+
+module Dir = Zofs.Dir
+module L = Zofs.Layout
+
+let root_dir_ino w =
+  let root = K.root_coffer w.kfs in
+  (Option.get (Treasury.Coffer.read w.dev ~id:root)).Treasury.Coffer.root_file
+
+(* Read the device as the kernel would, outside any coffer mapping. *)
+let as_kernel w f = Sim.run_thread (fun () -> Mpk.with_kernel w.mpk f)
+
+let child_ino w ~dir name =
+  match Dir.lookup w.dev ~ino:dir name with
+  | Some de -> de.Dir.de_inode
+  | None -> Alcotest.failf "no dentry %s" name
+
+(* [n] names whose hashes agree on the bits in [mask]: 511 puts them in one
+   second-level page, 0x1FFFF also in one bucket of it.  FNV-1a over
+   four-character names, hashed one character at a time. *)
+let colliding_names ~mask n =
+  let alpha =
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+  in
+  let step h c = (h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF in
+  let found = ref [] and count = ref 0 and target = ref (-1) in
+  (try
+     String.iter
+       (fun a ->
+         let ha = step 0x811C9DC5 a in
+         String.iter
+           (fun b ->
+             let hb = step ha b in
+             String.iter
+               (fun c ->
+                 let hc = step hb c in
+                 String.iter
+                   (fun d ->
+                     let h = step hc d land mask in
+                     if !target < 0 then target := h;
+                     if h = !target then begin
+                       found := Printf.sprintf "%c%c%c%c" a b c d :: !found;
+                       incr count;
+                       if !count = n then raise Exit
+                     end)
+                   alpha)
+               alpha)
+           alpha)
+       alpha
+   with Exit -> ());
+  let names = List.rev !found in
+  Alcotest.(check int) "enough colliding names" n (List.length names);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) ("hash bits of " ^ name) !target
+        (L.dir_hash name land mask))
+    names;
+  names
+
+(* A media fault in an inline dentry of a subdirectory drops the
+   subdirectory; everything recovery had collected under it — its inode,
+   its index pages, the children it had already scanned — goes back to
+   KernFS instead of staying owned by the coffer.  The cross-coffer
+   dentry it had already read goes too: the private file's coffer, left
+   without a parent, is deleted rather than kept registered. *)
+let test_recovery_releases_dropped_directory () =
+  let w = make_world () in
+  let names = colliding_names ~mask:(L.l1_entries - 1) 3 in
+  in_proc ~uid:0 w (fun fs ->
+      ok_or_fail (V.write_file fs "/keep" ~mode:0o777 "keep");
+      ok_or_fail (V.mkdir fs "/sub" 0o777);
+      List.iteri
+        (fun i n ->
+          ok_or_fail
+            (V.write_file fs ("/sub/" ^ n)
+               ~mode:(if i = 0 then 0o600 else 0o777)
+               (String.make 5000 'd')))
+        names);
+  let pages =
+    as_kernel w (fun () ->
+        let sub = child_ino w ~dir:(root_dir_ino w) "sub" in
+        let children = List.map (child_ino w ~dir:sub) names in
+        (* the three dentries sit in inline slots 0, 1 and 2 of one
+           second-level page; poison the line of slot 2 *)
+        let last = Option.get (Dir.lookup w.dev ~ino:sub (List.nth names 2)) in
+        Alcotest.(check int) "inline slot 2"
+          (Dir.inline_slot (Dir.l2_page w.dev (Dir.l1_page w.dev ~ino:sub)
+                              (L.dir_hash (List.nth names 2))) 2)
+          last.Dir.de_addr;
+        Nvm.Device.inject_poison w.dev (last.Dir.de_addr + L.d_valid);
+        (sub :: Dir.structure_pages w.dev ~ino:sub)
+        @ List.concat_map
+            (fun ino -> ino :: Zofs.File.data_pages w.dev ~ino)
+            children)
+  in
+  let root = K.root_coffer w.kfs in
+  let report = Sim.run_thread (fun () -> Zofs.Recovery.recover_all w.kfs) in
+  Alcotest.(check bool) "sub dropped" true
+    (List.mem
+       (Zofs.Recovery.Dropped_dentry { coffer = root; path = "/sub" })
+       (Zofs.Recovery.findings report));
+  Sim.run_thread (fun () ->
+      List.iter
+        (fun addr ->
+          match K.page_owner w.kfs ~page:(addr / L.page_size) with
+          | Ok owner when owner = root ->
+              Alcotest.failf "page 0x%x of the dropped /sub still owned" addr
+          | Ok _ | Error _ -> ())
+        pages);
+  Alcotest.(check bool) "orphaned private coffer deleted" true
+    (Sim.run_thread (fun () ->
+         Result.is_error (K.coffer_find w.kfs ("/sub/" ^ List.hd names))));
+  in_proc ~uid:0 w (fun fs ->
+      expect_err E.ENOENT (V.stat fs "/sub");
+      Alcotest.(check string) "bystander intact" "keep"
+        (ok_or_fail (V.read_file fs "/keep")))
+
+(* Recovery asks KernFS nothing per page: a one-coffer tree of 400 files
+   costs the same kernel crossings as one of 20. *)
+let recovery_crossings ~dirs ~files =
+  let w = make_world () in
+  in_proc ~uid:0 w (fun fs ->
+      for d = 1 to dirs do
+        ok_or_fail (V.mkdir fs (Printf.sprintf "/t%d" d) 0o777);
+        for f = 1 to files do
+          ok_or_fail
+            (V.write_file fs (Printf.sprintf "/t%d/f%d" d f) ~mode:0o777 "x")
+        done
+      done);
+  D.crash w.dev;
+  let w = remount w in
+  Sim.run_thread (fun () ->
+      let gate = K.gate w.kfs in
+      let c0 = Treasury.Gate.syscall_count gate in
+      let report = Zofs.Recovery.recover_all w.kfs in
+      Alcotest.(check int) "one coffer" 1 report.Zofs.Recovery.coffers_scanned;
+      Treasury.Gate.syscall_count gate - c0)
+
+let test_recovery_crossings_independent_of_size () =
+  let small = recovery_crossings ~dirs:2 ~files:10 in
+  let large = recovery_crossings ~dirs:20 ~files:20 in
+  Alcotest.(check int) "crossings for 400 files = for 20" small large
+
+(* Reference copies of the two traversals [Dir.walk] replaced: the
+   index-page census and the dentry iteration, each its own loop. *)
+let ref_structure_pages dev ~ino =
+  let pages = ref [] in
+  let l1 = Dir.l1_page dev ~ino in
+  if l1 <> 0 then begin
+    pages := [ l1 ];
+    for l1i = 0 to L.l1_entries - 1 do
+      let l2 = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
+      if l2 <> 0 then begin
+        pages := l2 :: !pages;
+        for b = 0 to L.l2_buckets - 1 do
+          let rec chase page =
+            if page <> 0 then begin
+              pages := page :: !pages;
+              chase (Dir.chain_next dev page)
+            end
+          in
+          chase (Nvm.Device.read_u64 dev (l2 + L.l2_bucket_base + (b * 8)))
+        done
+      end
+    done
+  end;
+  !pages
+
+let ref_iter dev ~ino f =
+  let l1 = Dir.l1_page dev ~ino in
+  if l1 <> 0 then
+    for l1i = 0 to L.l1_entries - 1 do
+      let l2 = Nvm.Device.read_u64 dev (l1 + (l1i * 8)) in
+      if l2 <> 0 then begin
+        for i = 0 to L.l2_inline_dentries - 1 do
+          let a = Dir.inline_slot l2 i in
+          if Dir.dentry_valid dev a then
+            match Dir.read_dentry dev a with Some de -> f de | None -> ()
+        done;
+        for b = 0 to L.l2_buckets - 1 do
+          let rec chase page =
+            if page <> 0 then begin
+              for i = 1 to L.chain_dentries do
+                let a = Dir.chain_slot page i in
+                if Dir.dentry_valid dev a then
+                  match Dir.read_dentry dev a with Some de -> f de | None -> ()
+              done;
+              chase (Dir.chain_next dev page)
+            end
+          in
+          chase (Nvm.Device.read_u64 dev (l2 + L.l2_bucket_base + (b * 8)))
+        done
+      end
+    done
+
+let test_walk_matches_reference () =
+  let w = make_world () in
+  (* 48 names in one bucket: 16 inline, a full 31-dentry chain page and a
+     second chain page *)
+  let chained = colliding_names ~mask:0x1FFFF 48 in
+  let spread = List.init 30 (Printf.sprintf "g%d") in
+  let removed =
+    List.filteri (fun i _ -> i mod 3 = 0) chained
+    @ [ "g7"; List.nth chained 47 ]
+  in
+  in_proc ~uid:0 w (fun fs ->
+      let fill dir names =
+        ok_or_fail (V.mkdir fs dir 0o777);
+        List.iter
+          (fun n -> ok_or_fail (V.write_file fs (dir ^ "/" ^ n) ~mode:0o777 n))
+          names
+      in
+      ok_or_fail (V.mkdir fs "/empty" 0o777);
+      fill "/inline" [ "a"; "b"; "c"; "d"; "e" ];
+      fill "/chains" (chained @ spread);
+      fill "/holes" (chained @ spread);
+      List.iter (fun n -> ok_or_fail (V.unlink fs ("/holes/" ^ n))) removed);
+  as_kernel w (fun () ->
+      let root = root_dir_ino w in
+      let chains = child_ino w ~dir:root "chains" in
+      let h = L.dir_hash (List.hd chained) in
+      let l2 = Dir.l2_page w.dev (Dir.l1_page w.dev ~ino:chains) h in
+      let head = Nvm.Device.read_u64 w.dev (Dir.bucket_addr l2 h) in
+      Alcotest.(check bool) "two-page chain" true
+        (head <> 0 && Dir.chain_next w.dev head <> 0);
+      List.iter
+        (fun (name, ino, expected) ->
+          let pages = ref [] and dentries = ref [] in
+          Dir.walk w.dev ~ino
+            ~page:(fun p -> pages := p :: !pages)
+            ~dentry:(fun de -> dentries := de :: !dentries);
+          let reference = ref [] in
+          ref_iter w.dev ~ino (fun de -> reference := de :: !reference);
+          let sorted l = List.sort compare l in
+          Alcotest.(check (list int)) (name ^ ": structure_pages")
+            (ref_structure_pages w.dev ~ino) (Dir.structure_pages w.dev ~ino);
+          Alcotest.(check (list int)) (name ^ ": walk pages")
+            (ref_structure_pages w.dev ~ino) !pages;
+          Alcotest.(check bool) (name ^ ": walk dentries") true
+            (sorted !dentries = sorted !reference);
+          Alcotest.(check int) (name ^ ": dentry count") expected
+            (List.length !dentries))
+        [
+          ("/", root, 4);
+          ("/empty", child_ino w ~dir:root "empty", 0);
+          ("/inline", child_ino w ~dir:root "inline", 5);
+          ("/chains", chains, 78);
+          ("/holes", child_ino w ~dir:root "holes", 78 - List.length removed);
+        ])
+
 let qcheck_crash_recovery_preserves_completed_ops =
   QCheck.Test.make
     ~name:"completed ops survive random crashes + recovery" ~count:15
@@ -329,5 +579,14 @@ let () =
             `Quick test_recovery_orphan_inode_without_dentry;
           Alcotest.test_case "repairs torn coffer root page" `Quick
             test_recovery_torn_coffer_root_page;
+          Alcotest.test_case "releases a dropped directory's pages" `Quick
+            test_recovery_releases_dropped_directory;
+          Alcotest.test_case "crossings independent of tree size" `Quick
+            test_recovery_crossings_independent_of_size;
+        ] );
+      ( "dir walk",
+        [
+          Alcotest.test_case "matches the reference traversals" `Quick
+            test_walk_matches_reference;
         ] );
     ]
